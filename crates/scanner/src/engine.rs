@@ -16,10 +16,14 @@
 //!
 //! * a [`FaultHook`] is consulted before every address and may stall the
 //!   probe pipeline or kill the scan (simulating the origin dying);
-//! * periodic [`ScanCheckpoint`]s — permutation position, pacer cursor,
-//!   stall clock, and all partial records — are written to a
-//!   [`CheckpointStore`] that outlives the scan (and any panic inside
-//!   it), so a supervisor can resume mid-permutation;
+//! * periodic [`ScanCheckpoint`]s — permutation position, stall clock,
+//!   summary counters, the number of records logged so far, and any
+//!   adaptive state — are written to a [`CheckpointStore`] that outlives
+//!   the scan (and any panic inside it), so a supervisor can resume
+//!   mid-permutation. A checkpoint is a cursor, not a copy: records are
+//!   append-only in permutation order, so each save *moves* the records
+//!   found since the previous save onto the store's log, and a scan's
+//!   cost and memory grow with its output, not with output × checkpoints;
 //! * resuming from a checkpoint reproduces *exactly* the state an
 //!   uninterrupted scan would have had at that point: the permutation
 //!   fast-forwards in O(log n) and the pacer's clock is a closed-form
@@ -309,29 +313,46 @@ pub struct AdaptCheckpoint {
     pub ctrl: ControllerState,
 }
 
-/// Resumable scan state: everything needed to continue a scan from the
-/// middle of its permutation with bit-identical results.
+/// Resumable scan state: a cursor into a scan's permutation and into the
+/// record log of the [`CheckpointStore`] it was saved to. Together with
+/// that log it is everything needed to continue a scan from the middle
+/// of its permutation with bit-identical results.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScanCheckpoint {
     /// Permutation group steps consumed when the checkpoint was taken.
     pub steps: u64,
     /// Accumulated pipeline-stall seconds at the checkpoint.
     pub stall_s: f64,
-    /// Partial output: all records and counters up to the checkpoint.
-    pub output: ScanOutput,
+    /// Aggregate counters up to the checkpoint.
+    pub summary: ScanSummary,
+    /// Records found up to the checkpoint: the length of the store's
+    /// log when the checkpoint was saved. The records themselves stay in
+    /// the log.
+    pub logged_records: usize,
     /// Adaptive-scan state (None for classic open-loop scans).
     pub adapt: Option<AdaptCheckpoint>,
 }
 
-/// A single-slot, thread-safe checkpoint mailbox.
+/// A thread-safe checkpoint store: an append-only record log plus the
+/// latest cursor into it.
 ///
 /// The store lives *outside* the scan (typically on the supervisor's
 /// stack) so it survives a scan thread that panics or is killed by an
 /// injected fault; the supervisor then [`CheckpointStore::take`]s the
-/// last periodic checkpoint and resumes.
+/// last periodic checkpoint and resumes. The resumed scan appends to the
+/// same log and, on completion, moves the whole log back out, leaving
+/// the store empty.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
-    slot: Mutex<Option<ScanCheckpoint>>,
+    state: Mutex<StoreState>,
+}
+
+/// The record log and the latest cursor, kept under one lock so a save
+/// updates both at once.
+#[derive(Debug, Default)]
+struct StoreState {
+    log: Vec<HostScanRecord>,
+    cursor: Option<ScanCheckpoint>,
 }
 
 impl CheckpointStore {
@@ -340,31 +361,64 @@ impl CheckpointStore {
         Self::default()
     }
 
-    /// Replace the stored checkpoint with `cp`.
-    pub fn save(&self, cp: ScanCheckpoint) {
-        match self.slot.lock() {
-            Ok(mut slot) => *slot = Some(cp),
-            // A poisoned lock means a previous writer panicked mid-save;
-            // the slot still holds a coherent (clone-assigned) value, so
-            // recover and overwrite it.
-            Err(poisoned) => *poisoned.into_inner() = Some(cp),
+    /// Run `f` on the log and cursor. A poisoned lock means a writer
+    /// panicked inside the store. A save grows the log before it assigns
+    /// the cursor, so at worst the log runs ahead of the cursor, and
+    /// [`CheckpointStore::take`] truncates it back; the state is
+    /// therefore reused.
+    fn with_state<T>(&self, f: impl FnOnce(&mut StoreState) -> T) -> T {
+        match self.state.lock() {
+            Ok(mut g) => f(&mut g),
+            Err(poisoned) => f(&mut poisoned.into_inner()),
         }
     }
 
-    /// Remove and return the stored checkpoint, if any.
+    /// Move `tail` — the records found since the previous save — onto the
+    /// log, leaving `tail` empty, and make `cp` the latest cursor with
+    /// its [`ScanCheckpoint::logged_records`] set to the log's length.
+    pub(crate) fn save(&self, tail: &mut Vec<HostScanRecord>, mut cp: ScanCheckpoint) {
+        self.with_state(|s| {
+            s.log.append(tail);
+            cp.logged_records = s.log.len();
+            s.cursor = Some(cp);
+        });
+    }
+
+    /// Remove and return the latest cursor, if any, and truncate the log
+    /// to the records it covers (all of them when no cursor is stored),
+    /// so a scan resumed from it never sees records past it.
     pub fn take(&self) -> Option<ScanCheckpoint> {
-        match self.slot.lock() {
-            Ok(mut slot) => slot.take(),
-            Err(poisoned) => poisoned.into_inner().take(),
-        }
+        self.with_state(|s| {
+            let cp = s.cursor.take();
+            s.log.truncate(cp.as_ref().map_or(0, |c| c.logged_records));
+            cp
+        })
     }
 
-    /// Is a checkpoint currently stored?
+    /// Is a cursor currently stored?
     pub fn is_saved(&self) -> bool {
-        match self.slot.lock() {
-            Ok(slot) => slot.is_some(),
-            Err(poisoned) => poisoned.into_inner().is_some(),
-        }
+        self.with_state(|s| s.cursor.is_some())
+    }
+
+    /// Drop the cursor and move the whole log out, leaving the store
+    /// empty.
+    pub(crate) fn take_log(&self) -> Vec<HostScanRecord> {
+        self.with_state(|s| {
+            s.cursor = None;
+            std::mem::take(&mut s.log)
+        })
+    }
+
+    /// Prepare the log for a session resuming from `cp`, or for a fresh
+    /// session when `cp` is None: drop any stored cursor and keep exactly
+    /// the records `cp` covers. False when the log holds fewer.
+    fn rewind(&self, cp: Option<&ScanCheckpoint>) -> bool {
+        let keep = cp.map_or(0, |c| c.logged_records);
+        self.with_state(|s| {
+            s.cursor = None;
+            s.log.truncate(keep);
+            s.log.len() == keep
+        })
     }
 }
 
@@ -375,9 +429,12 @@ pub struct ScanSession<'a> {
     pub hook: Option<&'a dyn FaultHook>,
     /// Save a checkpoint every this many addresses (0 disables).
     pub checkpoint_every: u64,
-    /// Where periodic checkpoints are written.
+    /// Where periodic checkpoints, and the records they cover, are
+    /// written. A fresh session (no `resume`) empties it first.
     pub store: Option<&'a CheckpointStore>,
-    /// Resume from this checkpoint instead of starting fresh.
+    /// Resume from this checkpoint instead of starting fresh. Its
+    /// records are read from `store`'s log, which must hold at least
+    /// [`ScanCheckpoint::logged_records`] of them.
     pub resume: Option<ScanCheckpoint>,
     /// Supervisor attempt number forwarded to the fault hook.
     pub attempt: u32,
@@ -676,10 +733,19 @@ pub fn run_scan_session(
         .map(|policy| Controller::new(policy, n_sources));
 
     let mut iter = cycle.iter_shard(cfg.shard.0, cfg.shard.1);
+    // `out.records` holds only the records found since the last save;
+    // earlier ones are on the store's log until completion.
     let mut out = ScanOutput::default();
     let mut stall_s = 0.0f64;
+    let log_ok = match session.store {
+        Some(store) => store.rewind(session.resume.as_ref()),
+        None => session
+            .resume
+            .as_ref()
+            .is_none_or(|cp| cp.logged_records == 0),
+    };
     if let Some(cp) = session.resume {
-        if !iter.fast_forward(cp.steps) {
+        if !log_ok || !iter.fast_forward(cp.steps) {
             return Err(ScanError::BadCheckpoint { steps: cp.steps });
         }
         match (cp.adapt, ctrl.as_mut()) {
@@ -689,10 +755,10 @@ pub fn run_scan_session(
                 pacer = Pacer::restore(&acp.pacer);
                 *c = Controller::from_state(c.policy().clone(), n_sources, acp.ctrl);
             }
-            _ => pacer.advance_to(cp.output.summary.probes_sent),
+            _ => pacer.advance_to(cp.summary.probes_sent),
         }
         stall_s = cp.stall_s;
-        out = cp.output;
+        out.summary = cp.summary;
         tele.emit(
             pacer.peek_send_time() + stall_s,
             EventKind::ScanResumed {
@@ -742,15 +808,19 @@ pub fn run_scan_session(
         // saved state excludes any in-flight address.
         if session.checkpoint_every > 0 && since_checkpoint >= session.checkpoint_every {
             if let Some(store) = session.store {
-                store.save(ScanCheckpoint {
-                    steps: iter.steps_taken(),
-                    stall_s,
-                    output: out.clone(),
-                    adapt: ctrl.as_ref().map(|c| AdaptCheckpoint {
-                        pacer: pacer.snapshot(),
-                        ctrl: c.state().clone(),
-                    }),
-                });
+                store.save(
+                    &mut out.records,
+                    ScanCheckpoint {
+                        steps: iter.steps_taken(),
+                        stall_s,
+                        summary: out.summary,
+                        logged_records: 0,
+                        adapt: ctrl.as_ref().map(|c| AdaptCheckpoint {
+                            pacer: pacer.snapshot(),
+                            ctrl: c.state().clone(),
+                        }),
+                    },
+                );
                 checkpoint_writes += 1;
                 tele.emit(
                     pacer.peek_send_time() + stall_s,
@@ -901,6 +971,13 @@ pub fn run_scan_session(
             tr.set_time(pacer.peek_send_time() + stall_s);
         }
         drop(tail_guard);
+    }
+    if let Some(store) = session.store {
+        // Reclaim the logged records by move and put the unsaved tail
+        // after them, leaving the store empty.
+        let mut records = store.take_log();
+        records.append(&mut out.records);
+        out.records = records;
     }
     out.summary.duration_s = match &ctrl {
         // duration_elapsed() equals duration_for(probes_sent) bit-for-bit
@@ -1307,8 +1384,8 @@ mod tests {
         );
         let cp = store.take().expect("periodic checkpoint must exist");
         // The periodic checkpoint predates the kill point.
-        assert!(cp.output.summary.addresses_probed <= 500);
-        assert!(cp.output.summary.addresses_probed >= 500 - 128);
+        assert!(cp.summary.addresses_probed <= 500);
+        assert!(cp.summary.addresses_probed >= 500 - 128);
     }
 
     #[test]
@@ -1354,6 +1431,164 @@ mod tests {
         )
         .unwrap();
         assert_eq!(resumed, uninterrupted);
+    }
+
+    fn logged(store: &CheckpointStore) -> usize {
+        store.with_state(|s| s.log.len())
+    }
+
+    fn session<'a>(
+        hook: Option<&'a dyn FaultHook>,
+        store: &'a CheckpointStore,
+        resume: Option<ScanCheckpoint>,
+        attempt: u32,
+    ) -> ScanSession<'a> {
+        ScanSession {
+            hook,
+            checkpoint_every: 256,
+            store: Some(store),
+            resume,
+            attempt,
+            telemetry: None,
+        }
+    }
+
+    #[test]
+    fn killed_scan_leaves_exactly_the_cursor_prefix_in_the_store() {
+        let net = ToyNet {
+            live_mod: 7,
+            closed_mod: 5,
+        };
+        let uninterrupted = run_scan(&net, &cfg(3000)).unwrap();
+        let store = CheckpointStore::new();
+        let hook = KillAt {
+            kill_at: 1100,
+            fail_attempts: 1,
+        };
+        let err = run_scan_session(&net, &cfg(3000), session(Some(&hook), &store, None, 0));
+        assert!(matches!(err, Err(ScanError::Killed { .. })));
+        let cp = store.take().expect("checkpoint saved before the kill");
+        // The fourth save (1024 addresses) is the last before the kill;
+        // records probed after it died with the scan.
+        assert_eq!(cp.summary.addresses_probed, 1024);
+        assert!(cp.logged_records > 0);
+        assert!(cp.logged_records < uninterrupted.records.len());
+        assert_eq!(logged(&store), cp.logged_records);
+        assert!(!store.is_saved());
+        assert_eq!(
+            store.take_log(),
+            uninterrupted.records[..cp.logged_records].to_vec()
+        );
+        assert_eq!(logged(&store), 0);
+    }
+
+    #[test]
+    fn completed_scan_leaves_the_store_empty() {
+        let net = ToyNet {
+            live_mod: 7,
+            closed_mod: 5,
+        };
+        let uninterrupted = run_scan(&net, &cfg(3000)).unwrap();
+        let store = CheckpointStore::new();
+        let out = run_scan_session(&net, &cfg(3000), session(None, &store, None, 0)).unwrap();
+        assert_eq!(out, uninterrupted);
+        assert!(!store.is_saved());
+        assert_eq!(logged(&store), 0);
+
+        // Same after a kill and a resume.
+        let hook = KillAt {
+            kill_at: 1100,
+            fail_attempts: 1,
+        };
+        let first = run_scan_session(&net, &cfg(3000), session(Some(&hook), &store, None, 0));
+        assert!(first.is_err());
+        let resumed = run_scan_session(
+            &net,
+            &cfg(3000),
+            session(Some(&hook), &store, store.take(), 1),
+        )
+        .unwrap();
+        assert_eq!(resumed, uninterrupted);
+        assert!(!store.is_saved());
+        assert_eq!(logged(&store), 0);
+    }
+
+    #[test]
+    fn stale_cursor_and_log_never_leak_into_a_session() {
+        let net = ToyNet {
+            live_mod: 7,
+            closed_mod: 5,
+        };
+        let uninterrupted = run_scan(&net, &cfg(3000)).unwrap();
+        let store = CheckpointStore::new();
+
+        // Leave a stale cursor and log from a different network behind.
+        let other = ToyNet {
+            live_mod: 3,
+            closed_mod: 2,
+        };
+        let hook = KillAt {
+            kill_at: 2000,
+            fail_attempts: 1,
+        };
+        let first = run_scan_session(&other, &cfg(3000), session(Some(&hook), &store, None, 0));
+        assert!(first.is_err());
+        assert!(store.is_saved());
+        assert!(logged(&store) > 0);
+
+        // A fresh session starts from an empty log.
+        let fresh = run_scan_session(&net, &cfg(3000), session(None, &store, None, 0)).unwrap();
+        assert_eq!(fresh, uninterrupted);
+        assert!(!store.is_saved());
+        assert_eq!(logged(&store), 0);
+
+        // Resuming from an older cursor than the store's latest drops the
+        // records logged after it.
+        let hook = KillAt {
+            kill_at: 1100,
+            fail_attempts: 1,
+        };
+        let first = run_scan_session(&net, &cfg(3000), session(Some(&hook), &store, None, 0));
+        assert!(first.is_err());
+        let old = store.take().unwrap();
+        let hook = KillAt {
+            kill_at: 2100,
+            fail_attempts: 2,
+        };
+        let second = run_scan_session(
+            &net,
+            &cfg(3000),
+            session(Some(&hook), &store, Some(old.clone()), 1),
+        );
+        assert!(second.is_err());
+        assert!(logged(&store) > old.logged_records);
+        let resumed =
+            run_scan_session(&net, &cfg(3000), session(None, &store, Some(old), 2)).unwrap();
+        assert_eq!(resumed, uninterrupted);
+    }
+
+    #[test]
+    fn cursor_past_the_log_is_rejected() {
+        let net = ToyNet {
+            live_mod: 2,
+            closed_mod: 3,
+        };
+        let cp = ScanCheckpoint {
+            logged_records: 1,
+            ..Default::default()
+        };
+        let store = CheckpointStore::new();
+        let err = run_scan_session(&net, &cfg(100), session(None, &store, Some(cp.clone()), 1));
+        assert_eq!(err, Err(ScanError::BadCheckpoint { steps: 0 }));
+        let err = run_scan_session(
+            &net,
+            &cfg(100),
+            ScanSession {
+                resume: Some(cp),
+                ..Default::default()
+            },
+        );
+        assert_eq!(err, Err(ScanError::BadCheckpoint { steps: 0 }));
     }
 
     #[test]

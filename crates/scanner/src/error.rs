@@ -95,8 +95,9 @@ pub enum ScanError {
         /// Addresses fully probed before death.
         addresses_probed: u64,
     },
-    /// A resume checkpoint did not apply to this configuration's shard
-    /// (its step count lies outside the shard's remaining range).
+    /// A resume checkpoint did not apply to this session: its step count
+    /// lies outside the shard's remaining range, or the session's
+    /// checkpoint store does not hold the records the checkpoint covers.
     BadCheckpoint {
         /// The checkpoint's recorded permutation step count.
         steps: u64,
@@ -120,7 +121,10 @@ impl fmt::Display for ScanError {
                 "scan killed by injected fault at t={time_s:.1}s after {addresses_probed} addresses"
             ),
             ScanError::BadCheckpoint { steps } => {
-                write!(f, "checkpoint at step {steps} does not apply to this shard")
+                write!(
+                    f,
+                    "checkpoint at step {steps} does not apply to this shard or store"
+                )
             }
             ScanError::WireCheck { addr } => {
                 write!(f, "wire codec round-trip failed for address {addr:#010x}")
